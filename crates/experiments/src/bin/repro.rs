@@ -5,7 +5,7 @@
 //! ```text
 //! repro <experiment> [--quick] [--markdown] [--cores N] [--seed S] [--jobs N]
 //!                    [--faults SPEC] [--sanitize] [--force-fail TECH:BENCH[:N]]
-//!                    [--driving MODE] [--device KIND[:PERIOD]]
+//!                    [--device KIND[:PERIOD]]
 //!                    [--obs FILE] [--profile] [--keep-going]
 //! repro serve   [schedtaskd options...]
 //! repro submit  --addr ENDPOINT [client options...]
@@ -40,8 +40,8 @@
 //!   `--batch-max`, `--workers`, `--profile`).
 //! * `repro submit` is the line client: it submits one run request per
 //!   `technique × workload` pair to `--addr ENDPOINT`
-//!   (`tcp://HOST:PORT` or `unix:///PATH`; `--connect`/`--unix` remain
-//!   as deprecated aliases) and prints each response. `--ping`
+//!   (`tcp://HOST:PORT` or `unix:///PATH`) and prints each response.
+//!   `--ping`
 //!   waits for server readiness; `--expect-cached` exits non-zero if
 //!   any successful response was not served from the result cache;
 //!   `--stats` prints the server's counters; `--shutdown` asks the
@@ -74,11 +74,6 @@
 //!
 //! Engine component options:
 //!
-//! * `--driving MODE` selects how the engine advances its component set:
-//!   `de` (discrete-event, the default) or `cyclebox[:WINDOW[:SHARDS]]`
-//!   (epoch-barrier cycle boxes; window in cycles, default 50000, shards
-//!   default 1). Both modes produce bit-identical results; cycle-box
-//!   with shards > 1 plans component work across threads inside one run.
 //! * `--device KIND[:PERIOD]` attaches an interrupt-injecting device
 //!   model (`disk`, `network`, or `timer`; mean inter-arrival period in
 //!   cycles, default 25000) to every run. Repeatable.
@@ -109,9 +104,10 @@
 //! historical exit-0 behaviour for exploratory sessions.
 
 use schedtask::StealPolicy;
-use schedtask_experiments::runner::{parse_device_spec, parse_driving_spec, run_sweep_observed};
+use schedtask_experiments::loadgen::{sibling_daemon, spawn_daemon};
+use schedtask_experiments::runner::{parse_device_spec, run_sweep_observed};
 use schedtask_experiments::serve_api::{
-    submit_with_retry, ClientTimeouts, Endpoint, JobSpec, RetryPolicy, ServeClient,
+    result_payload, submit_with_retry, ClientTimeouts, Endpoint, JobSpec, RetryPolicy, ServeClient,
 };
 use schedtask_experiments::{
     ablations, appendix, fig04_breakup, fig09_stealing, fig11_heatmap, overheads, table4_workload,
@@ -133,7 +129,6 @@ struct Opts {
     sanitize: bool,
     force_fail: Option<(Technique, BenchmarkKind, u64)>,
     jobs: usize,
-    driving: Option<String>,
     devices: Vec<String>,
     obs: Option<String>,
     profile: bool,
@@ -153,7 +148,6 @@ fn parse_args() -> Opts {
         sanitize: false,
         force_fail: None,
         jobs: 1,
-        driving: None,
         devices: Vec::new(),
         obs: None,
         profile: false,
@@ -201,12 +195,6 @@ fn parse_args() -> Opts {
             }
             "--faults" => {
                 opts.faults = Some(args.next().unwrap_or_else(|| die("--faults needs a spec")));
-            }
-            "--driving" => {
-                opts.driving = Some(
-                    args.next()
-                        .unwrap_or_else(|| die("--driving needs a mode (de or cyclebox[:W[:S]])")),
-                );
             }
             "--device" => {
                 opts.devices.push(
@@ -278,17 +266,14 @@ fn print_help() {
         "repro — regenerate the SchedTask paper's tables and figures\n\n\
          usage: repro <experiment> [--quick] [--markdown] [--cores N] [--seed S]\n\
                 [--jobs N] [--faults none|light|heavy[@SEED]] [--sanitize]\n\
-                [--force-fail TECH:BENCH[:N]] [--driving MODE]\n\
-                [--device KIND[:PERIOD]] [--obs FILE] [--profile]\n\
+                [--force-fail TECH:BENCH[:N]] [--device KIND[:PERIOD]]\n\
+                [--obs FILE] [--profile]\n\
                 [--keep-going]\n\
                 repro serve  [schedtaskd options...]   launch the job server\n\
                 repro submit [client options...]       submit jobs to a server\n\n\
          sweep exit code: non-zero when any cell fails; --keep-going\n\
          restores the historical always-0 behaviour\n\n\
          engine components:\n\
-           --driving MODE        de (default) or cyclebox[:WINDOW[:SHARDS]];\n\
-                                 both modes are bit-identical, cyclebox\n\
-                                 shards plan work across threads per run\n\
            --device KIND[:PERIOD] attach a disk/network/timer interrupt\n\
                                  source (period in cycles, default 25000)\n\n\
          observability (sweep experiment):\n\
@@ -328,12 +313,6 @@ fn params(opts: &Opts) -> ExpParams {
     }
     if opts.sanitize {
         p = p.with_sanitize();
-    }
-    if let Some(spec) = &opts.driving {
-        match parse_driving_spec(spec) {
-            Ok(mode) => p = p.with_driving(mode),
-            Err(e) => die(&format!("--driving: {e}")),
-        }
     }
     for spec in &opts.devices {
         match parse_device_spec(spec) {
@@ -756,26 +735,11 @@ fn main() {
 /// `repro serve`: launch the sibling `schedtaskd` binary, forwarding
 /// every remaining argument, and exit with its status.
 fn run_serve(args: Vec<String>) -> ! {
-    let daemon = std::env::current_exe().ok().and_then(|exe| {
-        exe.parent()
-            .map(|dir| dir.join(format!("schedtaskd{}", std::env::consts::EXE_SUFFIX)))
-    });
-    let Some(path) = daemon.filter(|p| p.exists()) else {
-        die("schedtaskd binary not found next to repro; \
-             build it with `cargo build -p schedtask-serve`");
-    };
+    let path = sibling_daemon().unwrap_or_else(|e| die(e));
     match std::process::Command::new(&path).args(&args).status() {
         Ok(status) => std::process::exit(status.code().unwrap_or(1)),
         Err(e) => die(&format!("cannot launch {}: {e}", path.display())),
     }
-}
-
-/// Extracts the `"result":...` payload bytes from an ok response line
-/// (everything from the result field to the closing brace — exactly
-/// the bytes that must replay identically on a cache hit).
-fn result_payload(response: &str) -> Option<String> {
-    let start = response.find("\"result\":")? + "\"result\":".len();
-    Some(response[start..response.len() - 1].to_owned())
 }
 
 fn print_chaos_help() {
@@ -810,45 +774,23 @@ fn spawn_chaos_daemon(
     cache_dir: &std::path::Path,
     chaos: &str,
 ) -> (std::process::Child, String, String) {
-    let mut cmd = std::process::Command::new(daemon);
-    cmd.arg("--addr")
-        .arg(format!("tcp://{listen}"))
-        .arg("--cache-dir")
-        .arg(cache_dir)
-        .arg("--drain-deadline-ms")
-        .arg("2000")
-        .stdout(std::process::Stdio::piped());
+    let mut args: Vec<String> = [
+        "--addr",
+        &format!("tcp://{listen}"),
+        "--cache-dir",
+        &cache_dir.display().to_string(),
+        "--drain-deadline-ms",
+        "2000",
+    ]
+    .map(str::to_owned)
+    .into();
     if chaos != "none" {
-        cmd.arg("--chaos").arg(chaos);
+        args.extend(["--chaos".to_owned(), chaos.to_owned()]);
     }
-    let mut child = cmd
-        .spawn()
-        .unwrap_or_else(|e| die(&format!("cannot launch {}: {e}", daemon.display())));
-    let stdout = child.stdout.take().expect("stdout piped");
-    let mut reader = std::io::BufReader::new(stdout);
-    let mut read_line = |what: &str| -> String {
-        use std::io::BufRead;
-        let mut line = String::new();
-        match reader.read_line(&mut line) {
-            Ok(n) if n > 0 => line.trim_end().to_owned(),
-            _ => die(&format!("daemon exited before printing its {what} line")),
-        }
-    };
-    let listening = read_line("listening");
-    let addr = listening
-        .strip_prefix("schedtaskd listening on ")
-        .unwrap_or_else(|| die(&format!("unexpected daemon banner: {listening}")))
-        .to_owned();
-    let recovery = read_line("recovery");
-    // Keep the pipe open so the daemon's shutdown prints don't SIGPIPE;
-    // the reader thread drains anything else it says.
-    std::thread::spawn(move || {
-        use std::io::BufRead;
-        let mut sink = String::new();
-        while matches!(reader.read_line(&mut sink), Ok(n) if n > 0) {
-            sink.clear();
-        }
-    });
+    let (child, addr, lines) = spawn_daemon(daemon, &args).unwrap_or_else(|e| die(&e));
+    let recovery = lines
+        .recv()
+        .unwrap_or_else(|_| die("daemon exited before printing its recovery line"));
     (child, addr, recovery)
 }
 
@@ -909,14 +851,7 @@ fn run_chaos(args: Vec<String>) -> ! {
         die("--jobs must be positive");
     }
 
-    let daemon = std::env::current_exe().ok().and_then(|exe| {
-        exe.parent()
-            .map(|dir| dir.join(format!("schedtaskd{}", std::env::consts::EXE_SUFFIX)))
-    });
-    let Some(daemon) = daemon.filter(|p| p.exists()) else {
-        die("schedtaskd binary not found next to repro; \
-             build it with `cargo build -p schedtask-serve`");
-    };
+    let daemon = sibling_daemon().unwrap_or_else(|e| die(e));
     let dir = std::path::PathBuf::from(cache_dir.unwrap_or_else(|| {
         format!(
             "{}/schedtask-chaos-{}",
@@ -956,7 +891,7 @@ fn run_chaos(args: Vec<String>) -> ! {
             "[chaos] job {i}: ok on attempt {} ({} ms backoff)",
             outcome.attempts, outcome.total_backoff_ms
         );
-        before.push(payload);
+        before.push(payload.to_owned());
     }
 
     // SIGKILL with a victim job in flight: no drain, no final fsync
@@ -1052,12 +987,10 @@ fn print_submit_help() {
                 [--workload LIST] [--technique LIST] [--steal NAME]\n\
                 [--scale F] [--standard] [--cores N] [--max-instructions N]\n\
                 [--warmup N] [--seed S] [--faults SPEC] [--sanitize]\n\
-                [--driving MODE] [--device KIND[:PERIOD]]\n\
+                [--device KIND[:PERIOD]]\n\
                 [--ping] [--stats] [--shutdown] [--expect-cached]\n\
                 [--wait-ms N]\n\n\
-         ENDPOINT is tcp://HOST:PORT, unix:///PATH, or bare HOST:PORT.\n\
-         --connect HOST:PORT and --unix PATH remain as deprecated\n\
-         aliases for one release.\n\n\
+         ENDPOINT is tcp://HOST:PORT, unix:///PATH, or bare HOST:PORT.\n\n\
          One run request is sent per technique x workload pair (comma\n\
          lists). Requests default to quick-size parameters; --standard\n\
          submits full-size runs.\n\n\
@@ -1089,7 +1022,6 @@ fn run_submit(args: Vec<String>) -> ! {
     let mut seed: Option<u64> = None;
     let mut faults: Option<String> = None;
     let mut sanitize = false;
-    let mut driving: Option<String> = None;
     let mut devices: Vec<String> = Vec::new();
     let mut expect_cached = false;
     let mut ping_only = false;
@@ -1112,16 +1044,6 @@ fn run_submit(args: Vec<String>) -> ! {
                         .parse()
                         .unwrap_or_else(|e| die(&format!("bad --addr: {e}"))),
                 )
-            }
-            // Deprecated aliases, kept for one release.
-            "--connect" => addr = Some(Endpoint::Tcp(value("--connect"))),
-            "--unix" => {
-                #[cfg(unix)]
-                {
-                    addr = Some(Endpoint::Unix(value("--unix")));
-                }
-                #[cfg(not(unix))]
-                die("--unix is not supported on this platform");
             }
             "--workload" => workloads = value("--workload").split(',').map(str::to_owned).collect(),
             "--technique" => {
@@ -1166,7 +1088,6 @@ fn run_submit(args: Vec<String>) -> ! {
             }
             "--faults" => faults = Some(value("--faults")),
             "--sanitize" => sanitize = true,
-            "--driving" => driving = Some(value("--driving")),
             "--device" => devices.push(value("--device")),
             "--expect-cached" => expect_cached = true,
             "--ping" => ping_only = true,
@@ -1196,21 +1117,8 @@ fn run_submit(args: Vec<String>) -> ! {
     // Connect with retry so a freshly-spawned server has time to bind;
     // --ping makes this the whole job (a readiness probe).
     let deadline = Instant::now() + std::time::Duration::from_millis(wait_ms);
-    let mut client = loop {
-        match ServeClient::dial(&endpoint, &timeouts) {
-            Ok(mut c) => match c.ping() {
-                Ok(true) => break c,
-                _ if Instant::now() < deadline => {}
-                _ => die("server did not answer ping"),
-            },
-            Err(e) => {
-                if Instant::now() >= deadline {
-                    die(&format!("cannot connect: {e}"));
-                }
-            }
-        }
-        std::thread::sleep(std::time::Duration::from_millis(100));
-    };
+    let mut client =
+        ServeClient::dial_ready(&endpoint, &timeouts, deadline).unwrap_or_else(|e| die(&e));
     if ping_only {
         println!("[submit] server is ready");
         std::process::exit(0);
@@ -1266,10 +1174,6 @@ fn run_submit(args: Vec<String>) -> ! {
                 );
             }
             spec.params.sanitize = sanitize;
-            if let Some(mode) = &driving {
-                spec.params.driving = parse_driving_spec(mode)
-                    .unwrap_or_else(|e| die(&format!("bad --driving: {e}")));
-            }
             for dev in &devices {
                 spec.params.devices.push(
                     parse_device_spec(dev).unwrap_or_else(|e| die(&format!("bad --device: {e}"))),

@@ -19,12 +19,12 @@
 //! payloads byte-for-byte with the fleet's answers.
 
 use crate::runner::Technique;
-use crate::serve_api::{ClientTimeouts, Endpoint, JobSpec, Json, ServeClient};
+use crate::serve_api::{result_payload, ClientTimeouts, Endpoint, JobSpec, Json, ServeClient};
 use schedtask_workload::BenchmarkKind;
 use std::io::BufRead;
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 fn die(msg: &str) -> ! {
@@ -109,28 +109,8 @@ struct SharedRun {
     timeouts: ClientTimeouts,
 }
 
-/// Extracts the `"result":...` payload bytes from an ok response line.
-fn result_payload(response: &str) -> Option<String> {
-    let start = response.find("\"result\":")? + "\"result\":".len();
-    Some(response[start..response.len() - 1].to_owned())
-}
-
 fn dial_until(endpoint: &Endpoint, timeouts: &ClientTimeouts, deadline: Instant) -> ServeClient {
-    loop {
-        match ServeClient::dial(endpoint, timeouts) {
-            Ok(mut c) => match c.ping() {
-                Ok(true) => return c,
-                _ if Instant::now() < deadline => {}
-                _ => die("server did not answer ping"),
-            },
-            Err(e) => {
-                if Instant::now() >= deadline {
-                    die(&format!("cannot connect to {endpoint}: {e}"));
-                }
-            }
-        }
-        std::thread::sleep(Duration::from_millis(50));
-    }
+    ServeClient::dial_ready(endpoint, timeouts, deadline).unwrap_or_else(|e| die(&e))
 }
 
 fn worker_loop(shared: &SharedRun) -> ThreadStats {
@@ -199,7 +179,7 @@ fn worker_loop(shared: &SharedRun) -> ThreadStats {
                     }
                     let mut payloads = shared.payloads.lock().unwrap_or_else(|e| e.into_inner());
                     if payloads[k].is_none() {
-                        payloads[k] = result_payload(&response);
+                        payloads[k] = result_payload(&response).map(str::to_owned);
                     }
                     break;
                 }
@@ -248,52 +228,57 @@ struct Fleet {
     router_addr: String,
 }
 
-fn daemon_path() -> std::path::PathBuf {
-    let daemon = std::env::current_exe().ok().and_then(|exe| {
-        exe.parent()
-            .map(|dir| dir.join(format!("schedtaskd{}", std::env::consts::EXE_SUFFIX)))
-    });
-    match daemon.filter(|p| p.exists()) {
-        Some(p) => p,
-        None => die("schedtaskd binary not found next to repro; \
-             build it with `cargo build -p schedtask-serve`"),
-    }
+/// The `schedtaskd` binary built next to the running executable, or a
+/// message saying how to build it.
+pub fn sibling_daemon() -> Result<std::path::PathBuf, &'static str> {
+    let exe = std::env::current_exe().ok();
+    let name = format!("schedtaskd{}", std::env::consts::EXE_SUFFIX);
+    exe.as_deref()
+        .and_then(std::path::Path::parent)
+        .map(|dir| dir.join(name))
+        .filter(|p| p.exists())
+        .ok_or(
+            "schedtaskd binary not found next to repro; \
+             build it with `cargo build -p schedtask-serve`",
+        )
 }
 
-/// Spawns one `schedtaskd` and reads its banner to learn the bound
-/// address. Extra args are appended verbatim.
-fn spawn_daemon(daemon: &std::path::Path, extra: &[String]) -> (Child, String) {
-    let mut cmd = Command::new(daemon);
-    cmd.args(extra).stdout(Stdio::piped());
-    let mut child = cmd
+/// Spawns `daemon` with `args` and waits for its listening banner.
+/// Returns the child, its bound address, and a channel carrying every
+/// later stdout line. The rest of stdout is drained in the background,
+/// so the daemon's shutdown prints never hit a closed pipe.
+pub fn spawn_daemon(
+    daemon: &std::path::Path,
+    args: &[String],
+) -> Result<(Child, String, mpsc::Receiver<String>), String> {
+    let mut child = Command::new(daemon)
+        .args(args)
+        .stdout(Stdio::piped())
         .spawn()
-        .unwrap_or_else(|e| die(&format!("cannot launch {}: {e}", daemon.display())));
-    let stdout = child.stdout.take().expect("stdout piped");
-    let mut reader = std::io::BufReader::new(stdout);
+        .map_err(|e| format!("cannot launch {}: {e}", daemon.display()))?;
+    let stdout = child.stdout.take().ok_or("daemon stdout is not piped")?;
+    let mut lines = std::io::BufReader::new(stdout).lines();
     let addr = loop {
-        let mut line = String::new();
-        match reader.read_line(&mut line) {
-            Ok(n) if n > 0 => {
+        match lines.next() {
+            Some(Ok(line)) => {
                 if let Some(rest) = line.trim_end().strip_prefix("schedtaskd listening on ") {
                     break rest.to_owned();
                 }
             }
-            _ => die("daemon exited before printing its listening banner"),
+            _ => return Err("daemon exited before printing its listening banner".to_owned()),
         }
     };
-    // Drain the rest of the daemon's stdout so shutdown prints don't
-    // SIGPIPE it.
+    let (tx, rx) = mpsc::channel();
     std::thread::spawn(move || {
-        let mut sink = String::new();
-        while matches!(reader.read_line(&mut sink), Ok(n) if n > 0) {
-            sink.clear();
+        for line in lines.map_while(Result::ok) {
+            let _ = tx.send(line);
         }
     });
-    (child, addr)
+    Ok((child, addr, rx))
 }
 
 fn spawn_fleet(n_workers: usize) -> Fleet {
-    let daemon = daemon_path();
+    let daemon = sibling_daemon().unwrap_or_else(|e| die(e));
     let base = std::env::temp_dir().join(format!("schedtask-loadgen-{}", std::process::id()));
     let mut children = Vec::new();
     let mut dirs = Vec::new();
@@ -310,7 +295,7 @@ fn spawn_fleet(n_workers: usize) -> Fleet {
             "--drain-deadline-ms".to_owned(),
             "2000".to_owned(),
         ];
-        let (child, addr) = spawn_daemon(&daemon, &args);
+        let (child, addr, _) = spawn_daemon(&daemon, &args).unwrap_or_else(|e| die(&e));
         println!("[loadgen] worker {i} listening on {addr}");
         children.push(child);
         dirs.push(dir);
@@ -325,7 +310,7 @@ fn spawn_fleet(n_workers: usize) -> Fleet {
         router_args.push("--worker".to_owned());
         router_args.push(format!("tcp://{addr}"));
     }
-    let (child, router_addr) = spawn_daemon(&daemon, &router_args);
+    let (child, router_addr, _) = spawn_daemon(&daemon, &router_args).unwrap_or_else(|e| die(&e));
     println!("[loadgen] router listening on {router_addr}");
     children.push(child);
     Fleet {
@@ -620,7 +605,7 @@ pub fn run_loadgen(args: Vec<String>) -> ! {
 /// Spawns a fresh single worker, replays every distinct spec directly,
 /// and compares result payload bytes with the fleet-observed payloads.
 fn verify_against_direct_worker(specs: &[JobSpec], fleet_payloads: &[Option<String>]) -> bool {
-    let daemon = daemon_path();
+    let daemon = sibling_daemon().unwrap_or_else(|e| die(e));
     let dir = std::env::temp_dir().join(format!("schedtask-loadgen-verify-{}", std::process::id()));
     std::fs::create_dir_all(&dir)
         .unwrap_or_else(|e| die(&format!("cannot create {}: {e}", dir.display())));
@@ -632,7 +617,7 @@ fn verify_against_direct_worker(specs: &[JobSpec], fleet_payloads: &[Option<Stri
         "--drain-deadline-ms".to_owned(),
         "2000".to_owned(),
     ];
-    let (mut child, addr) = spawn_daemon(&daemon, &args);
+    let (mut child, addr, _) = spawn_daemon(&daemon, &args).unwrap_or_else(|e| die(&e));
     let endpoint = Endpoint::Tcp(addr);
     let timeouts = ClientTimeouts::default();
     let mut client = dial_until(
@@ -651,7 +636,7 @@ fn verify_against_direct_worker(specs: &[JobSpec], fleet_payloads: &[Option<Stri
             .request_line(&line)
             .unwrap_or_else(|e| die(&format!("verify request failed: {e}")));
         match result_payload(&response) {
-            Some(direct) if &direct == fleet_payload => compared += 1,
+            Some(direct) if direct == fleet_payload => compared += 1,
             Some(_) => {
                 eprintln!("[loadgen] verify: payload mismatch for key lg-{k}");
                 mismatches += 1;

@@ -13,6 +13,7 @@
 //! cores and corrupt the per-cell wall-clock numbers.
 
 use crate::runner::{ExpParams, RunBuilder, Technique};
+use schedtask_obs::escape_json;
 use schedtask_workload::BenchmarkKind;
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
@@ -196,12 +197,12 @@ impl PerfReport {
         let _ = writeln!(
             out,
             "  \"_header\": \"{}\",",
-            json_escape(&format!(
+            escape_json(&format!(
                 "Wall-clock perf artefact for the SchedTask reproduction simulator. {MACHINE_CAVEAT}"
             ))
         );
-        let _ = writeln!(out, "  \"label\": \"{}\",", json_escape(label));
-        let _ = writeln!(out, "  \"mode\": \"{}\",", json_escape(&self.mode));
+        let _ = writeln!(out, "  \"label\": \"{}\",", escape_json(label));
+        let _ = writeln!(out, "  \"mode\": \"{}\",", escape_json(&self.mode));
         let _ = writeln!(out, "  \"seed\": {},", self.seed);
         let _ = writeln!(out, "  \"cores\": {},", self.cores);
         let _ = writeln!(out, "  \"scale\": {},", fmt_f64(self.scale));
@@ -212,7 +213,7 @@ impl PerfReport {
                 out,
                 "    {{\"name\": \"{}\", \"cells\": {}, \"instructions\": {}, \
                  \"sim_cycles\": {}, \"wall_seconds\": {}, \"instr_per_sec\": {}}}{}",
-                json_escape(&row.name),
+                escape_json(&row.name),
                 row.cells,
                 row.instructions,
                 row.sim_cycles,
@@ -308,22 +309,6 @@ fn fmt_f64(v: f64) -> String {
     } else {
         format!("{v}")
     }
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

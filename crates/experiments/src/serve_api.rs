@@ -30,7 +30,7 @@ use schedtask_kernel::FaultPlan;
 use schedtask_obs::{ObsEvent, Observer};
 use schedtask_workload::BenchmarkKind;
 
-use crate::runner::{parse_device_spec, parse_driving_spec, ExpParams, Technique};
+use crate::runner::{parse_device_spec, ExpParams, Technique};
 
 /// The wire protocol version this build speaks. Every request and
 /// response carries it as `"v"`; a request naming any other version is
@@ -38,6 +38,11 @@ use crate::runner::{parse_device_spec, parse_driving_spec, ExpParams, Technique}
 /// parse failure, and the router refuses to join workers whose `ping`
 /// reports a different version.
 pub const PROTOCOL_VERSION: u32 = 1;
+
+/// Longest request line a daemon accepts, newline excluded. Longer
+/// frames are discarded up to the next newline and answered with an
+/// error, keeping the connection usable for the requests that follow.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
 
 // ---------------------------------------------------------------------------
 // Canonical job identity.
@@ -79,14 +84,43 @@ impl JobSpec {
     /// `ExpParams` including the machine config, seed, and fault plan —
     /// so two specs hash alike only when a deterministic engine would
     /// produce identical stats.
+    ///
+    /// This is the one place the key format is spelled. Persistent disk
+    /// tiers and the router's shard placement are keyed by it, so it is
+    /// frozen: the `params=` part reproduces the derived `Debug` text
+    /// `ExpParams` had when the format was fixed, including the
+    /// `driving: DiscreteEvent` token of the retired driving-mode field.
+    /// Both structs are destructured exhaustively, so adding a field
+    /// fails to compile here until the field is given its place in the
+    /// key. The nested machine, fault-plan, and device values still
+    /// render through their derived `Debug`; the golden-key test pins
+    /// the resulting hashes.
     pub fn canonical_text(&self) -> String {
+        let JobSpec {
+            technique,
+            benchmark,
+            scale,
+            steal,
+            params,
+        } = self;
+        let ExpParams {
+            cores,
+            max_instructions,
+            warmup_instructions,
+            seed,
+            system,
+            epoch_cycles,
+            faults,
+            sanitize,
+            devices,
+        } = params;
         format!(
-            "technique={:?};benchmark={:?};scale={:016x};steal={:?};params={:?}",
-            self.technique,
-            self.benchmark,
-            self.scale.to_bits(),
-            self.steal,
-            self.params
+            "technique={technique:?};benchmark={benchmark:?};scale={:016x};steal={steal:?};\
+             params=ExpParams {{ cores: {cores}, max_instructions: {max_instructions}, \
+             warmup_instructions: {warmup_instructions}, seed: {seed}, system: {system:?}, \
+             epoch_cycles: {epoch_cycles}, faults: {faults:?}, sanitize: {sanitize}, \
+             driving: DiscreteEvent, devices: {devices:?} }}",
+            scale.to_bits()
         )
     }
 
@@ -147,10 +181,6 @@ impl JobSpec {
         if self.params.sanitize {
             line.push_str(",\"sanitize\":true");
         }
-        line.push_str(&format!(
-            ",\"driving\":\"{}\"",
-            escape_json(&render_driving_spec(&self.params.driving))
-        ));
         if !self.params.devices.is_empty() {
             let specs: Vec<String> = self
                 .params
@@ -188,18 +218,6 @@ fn render_fault_spec(plan: &FaultPlan) -> String {
         plan.stall_core_rate,
         plan.stall_cycles
     )
-}
-
-/// Renders a driving mode as the spec string `parse_driving_spec`
-/// reads back.
-fn render_driving_spec(mode: &schedtask_kernel::DrivingMode) -> String {
-    match mode {
-        schedtask_kernel::DrivingMode::DiscreteEvent => "de".to_owned(),
-        schedtask_kernel::DrivingMode::CycleBox {
-            window_cycles,
-            shards,
-        } => format!("cyclebox:{window_cycles}:{shards}"),
-    }
 }
 
 /// Renders a device model as the `KIND:PERIOD` spec
@@ -246,16 +264,29 @@ pub enum Json {
     Obj(Vec<(String, Json)>),
 }
 
+/// Deepest array/object nesting [`Json::parse`] accepts. Every line the
+/// fleet writes nests at most four levels (a run response embeds the
+/// canonical `SimStats` object; `stats` replies nest counter objects),
+/// so this leaves ample headroom while keeping the recursive-descent
+/// parser's stack use bounded: a hostile line of `[[[[…` is refused
+/// with an error instead of overflowing the thread's stack.
+pub const MAX_JSON_DEPTH: usize = 32;
+
 impl Json {
     /// Parses one complete JSON value from `s`, rejecting trailing
-    /// garbage.
+    /// garbage and nesting deeper than [`MAX_JSON_DEPTH`]. Runs in time
+    /// linear in the input.
     pub fn parse(s: &str) -> Result<Json, String> {
-        let bytes = s.as_bytes();
-        let mut pos = 0;
-        let value = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(format!("trailing data at byte {pos}"));
+        let mut parser = Parser {
+            text: s,
+            bytes: s.as_bytes(),
+            pos: 0,
+            depth: 0,
+        };
+        let value = parser.value()?;
+        parser.skip_ws();
+        if parser.pos != s.len() {
+            return Err(format!("trailing data at byte {}", parser.pos));
         }
         Ok(value)
     }
@@ -301,176 +332,190 @@ impl Json {
     }
 }
 
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
+/// Recursive-descent parser state over one input line.
+struct Parser<'a> {
+    text: &'a str,
+    bytes: &'a [u8],
+    pos: usize,
+    /// Arrays and objects currently open around `pos`.
+    depth: usize,
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    skip_ws(bytes, pos);
-    match bytes.get(*pos) {
-        None => Err("unexpected end of input".to_owned()),
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
-        Some(b'"') => parse_string(bytes, pos).map(Json::Str),
-        Some(b't') => parse_literal(bytes, pos, "true", Json::Bool(true)),
-        Some(b'f') => parse_literal(bytes, pos, "false", Json::Bool(false)),
-        Some(b'n') => parse_literal(bytes, pos, "null", Json::Null),
-        Some(_) => parse_number(bytes, pos),
+impl Parser<'_> {
+    fn skip_ws(&mut self) {
+        while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.pos += 1;
+        }
     }
-}
 
-fn parse_literal(
-    bytes: &[u8],
-    pos: &mut usize,
-    literal: &str,
-    value: Json,
-) -> Result<Json, String> {
-    if bytes[*pos..].starts_with(literal.as_bytes()) {
-        *pos += literal.len();
-        Ok(value)
-    } else {
-        Err(format!("expected {literal:?} at byte {pos}", pos = *pos))
+    fn value(&mut self) -> Result<Json, String> {
+        self.skip_ws();
+        match self.bytes.get(self.pos) {
+            None => Err("unexpected end of input".to_owned()),
+            Some(b'{') => self.nested(Parser::object),
+            Some(b'[') => self.nested(Parser::array),
+            Some(b'"') => self.string().map(Json::Str),
+            Some(b't') => self.literal("true", Json::Bool(true)),
+            Some(b'f') => self.literal("false", Json::Bool(false)),
+            Some(b'n') => self.literal("null", Json::Null),
+            Some(_) => self.number(),
+        }
     }
-}
 
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    let start = *pos;
-    while *pos < bytes.len()
-        && matches!(bytes[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-    {
-        *pos += 1;
+    /// Parses one array or object one level deeper, refusing input
+    /// nested past [`MAX_JSON_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_JSON_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_JSON_DEPTH} levels at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
-    if *pos == start {
-        return Err(format!("expected a value at byte {start}"));
-    }
-    let raw = std::str::from_utf8(&bytes[start..*pos]).map_err(|e| e.to_string())?;
-    // Validate once so `Num` always holds a parseable number.
-    raw.parse::<f64>()
-        .map_err(|e| format!("bad number {raw:?}: {e}"))?;
-    Ok(Json::Num(raw.to_owned()))
-}
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
-    debug_assert_eq!(bytes[*pos], b'"');
-    *pos += 1;
-    let mut out = String::new();
-    loop {
-        match bytes.get(*pos) {
-            None => return Err("unterminated string".to_owned()),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .ok_or("truncated \\u escape")?;
-                        let hex = std::str::from_utf8(hex).map_err(|e| e.to_string())?;
-                        let code =
-                            u32::from_str_radix(hex, 16).map_err(|e| format!("bad \\u: {e}"))?;
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        *pos += 4;
-                    }
-                    other => return Err(format!("bad escape {other:?}")),
+    fn literal(&mut self, literal: &str, value: Json) -> Result<Json, String> {
+        if self.bytes[self.pos..].starts_with(literal.as_bytes()) {
+            self.pos += literal.len();
+            Ok(value)
+        } else {
+            Err(format!("expected {literal:?} at byte {}", self.pos))
+        }
+    }
+
+    fn number(&mut self) -> Result<Json, String> {
+        let start = self.pos;
+        while matches!(
+            self.bytes.get(self.pos),
+            Some(b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
+        ) {
+            self.pos += 1;
+        }
+        if self.pos == start {
+            return Err(format!("expected a value at byte {start}"));
+        }
+        let raw = &self.text[start..self.pos];
+        // Validate once so `Num` always holds a parseable number.
+        raw.parse::<f64>()
+            .map_err(|e| format!("bad number {raw:?}: {e}"))?;
+        Ok(Json::Num(raw.to_owned()))
+    }
+
+    fn string(&mut self) -> Result<String, String> {
+        debug_assert_eq!(self.bytes[self.pos], b'"');
+        self.pos += 1;
+        let mut out = String::new();
+        loop {
+            match self.bytes.get(self.pos) {
+                None => return Err("unterminated string".to_owned()),
+                Some(b'"') => {
+                    self.pos += 1;
+                    return Ok(out);
                 }
-                *pos += 1;
+                Some(b'\\') => {
+                    self.pos += 1;
+                    match self.bytes.get(self.pos) {
+                        Some(b'"') => out.push('"'),
+                        Some(b'\\') => out.push('\\'),
+                        Some(b'/') => out.push('/'),
+                        Some(b'n') => out.push('\n'),
+                        Some(b'r') => out.push('\r'),
+                        Some(b't') => out.push('\t'),
+                        Some(b'b') => out.push('\u{8}'),
+                        Some(b'f') => out.push('\u{c}'),
+                        Some(b'u') => {
+                            let hex = self
+                                .text
+                                .get(self.pos + 1..self.pos + 5)
+                                .ok_or("truncated \\u escape")?;
+                            let code = u32::from_str_radix(hex, 16)
+                                .map_err(|e| format!("bad \\u: {e}"))?;
+                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+                            self.pos += 4;
+                        }
+                        other => return Err(format!("bad escape {other:?}")),
+                    }
+                    self.pos += 1;
+                }
+                Some(_) => {
+                    // Copy the whole run up to the next quote or
+                    // backslash in one step. Both are ASCII, so the run
+                    // ends on a character boundary of the (already
+                    // valid UTF-8) input and multi-byte sequences pass
+                    // through untouched.
+                    let end = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .map_or(self.bytes.len(), |n| self.pos + n);
+                    out.push_str(&self.text[self.pos..end]);
+                    self.pos = end;
+                }
             }
-            Some(_) => {
-                // Consume one UTF-8 scalar (multi-byte sequences pass
-                // through untouched).
-                let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|e| e.to_string())?;
-                let ch = rest.chars().next().ok_or("unterminated string")?;
-                out.push(ch);
-                *pos += ch.len_utf8();
+        }
+    }
+
+    fn array(&mut self) -> Result<Json, String> {
+        self.pos += 1; // consume '['
+        let mut items = Vec::new();
+        self.skip_ws();
+        if self.bytes.get(self.pos) == Some(&b']') {
+            self.pos += 1;
+            return Ok(Json::Arr(items));
+        }
+        loop {
+            items.push(self.value()?);
+            self.skip_ws();
+            match self.bytes.get(self.pos) {
+                Some(b',') => self.pos += 1,
+                Some(b']') => {
+                    self.pos += 1;
+                    return Ok(Json::Arr(items));
+                }
+                other => return Err(format!("expected ',' or ']' but found {other:?}")),
+            }
+        }
+    }
+
+    fn object(&mut self) -> Result<Json, String> {
+        self.pos += 1; // consume '{'
+        let mut fields = Vec::new();
+        self.skip_ws();
+        if self.bytes.get(self.pos) == Some(&b'}') {
+            self.pos += 1;
+            return Ok(Json::Obj(fields));
+        }
+        loop {
+            self.skip_ws();
+            if self.bytes.get(self.pos) != Some(&b'"') {
+                return Err(format!("expected an object key at byte {}", self.pos));
+            }
+            let key = self.string()?;
+            self.skip_ws();
+            if self.bytes.get(self.pos) != Some(&b':') {
+                return Err(format!("expected ':' at byte {}", self.pos));
+            }
+            self.pos += 1;
+            let value = self.value()?;
+            fields.push((key, value));
+            self.skip_ws();
+            match self.bytes.get(self.pos) {
+                Some(b',') => self.pos += 1,
+                Some(b'}') => {
+                    self.pos += 1;
+                    return Ok(Json::Obj(fields));
+                }
+                other => return Err(format!("expected ',' or '}}' but found {other:?}")),
             }
         }
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    *pos += 1; // consume '['
-    let mut items = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(Json::Arr(items));
-    }
-    loop {
-        items.push(parse_value(bytes, pos)?);
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(Json::Arr(items));
-            }
-            other => return Err(format!("expected ',' or ']' but found {other:?}")),
-        }
-    }
-}
-
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    *pos += 1; // consume '{'
-    let mut fields = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(Json::Obj(fields));
-    }
-    loop {
-        skip_ws(bytes, pos);
-        if bytes.get(*pos) != Some(&b'"') {
-            return Err(format!("expected an object key at byte {pos}", pos = *pos));
-        }
-        let key = parse_string(bytes, pos)?;
-        skip_ws(bytes, pos);
-        if bytes.get(*pos) != Some(&b':') {
-            return Err(format!("expected ':' at byte {pos}", pos = *pos));
-        }
-        *pos += 1;
-        let value = parse_value(bytes, pos)?;
-        fields.push((key, value));
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(Json::Obj(fields));
-            }
-            other => return Err(format!("expected ',' or '}}' but found {other:?}")),
-        }
-    }
-}
-
-/// Escapes a string for embedding inside a JSON string literal.
-pub fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
+/// Escapes a string for embedding inside a JSON string literal (the one
+/// escaper shared with the obs JSONL writer).
+pub use schedtask_obs::escape_json;
 
 // ---------------------------------------------------------------------------
 // Requests.
@@ -505,17 +550,18 @@ pub enum RequestError {
     /// Answered with a structured `unsupported_version` error so the
     /// client can tell a version skew from a malformed request.
     UnsupportedVersion(u64),
-    /// Malformed JSON, unknown fields, or invalid field values.
+    /// Malformed JSON (including over-deep nesting), unknown fields, or
+    /// invalid field values. Answered with a structured `bad_request`
+    /// error.
     Bad(String),
 }
 
 impl RequestError {
-    /// The machine-readable error code for the response, when this
-    /// error class has one.
-    pub fn code(&self) -> Option<&'static str> {
+    /// The machine-readable error code for the response.
+    pub fn code(&self) -> &'static str {
         match self {
-            RequestError::UnsupportedVersion(_) => Some("unsupported_version"),
-            RequestError::Bad(_) => None,
+            RequestError::UnsupportedVersion(_) => "unsupported_version",
+            RequestError::Bad(_) => "bad_request",
         }
     }
 }
@@ -710,11 +756,22 @@ fn parse_request_fields(json: &Json) -> Result<Request, String> {
     if let Some(v) = json.get("sanitize") {
         params.sanitize = v.as_bool().ok_or("sanitize must be a boolean")?;
     }
+    // Retired field: v1 clients wrote `"driving":"de"` on every run
+    // request while the engine still had a second, cycle-box mode.
+    // The discrete-event spellings stay a no-op, so those lines keep
+    // their cache keys; any other mode is refused rather than silently
+    // run in a mode the client did not ask for.
     match json.get("driving") {
         None | Some(Json::Null) => {}
         Some(v) => {
-            let spec = v.as_str().ok_or("driving must be a mode spec string")?;
-            params.driving = parse_driving_spec(spec)?;
+            let mode = v.as_str().ok_or("driving must be a mode spec string")?;
+            let lower = mode.to_ascii_lowercase();
+            if !matches!(lower.as_str(), "de" | "discrete-event" | "discreteevent") {
+                return Err(format!(
+                    "driving mode {mode:?} is not supported: the engine runs only \
+                     discrete-event (send \"de\" or omit the field)"
+                ));
+            }
         }
     }
     match json.get("devices") {
@@ -817,11 +874,31 @@ pub enum Response {
     },
 }
 
-fn id_prefix(id: &Option<String>) -> String {
+/// Renders the optional leading `"id":"...",` field every response
+/// line carries after `"v"`.
+pub fn id_field(id: &Option<String>) -> String {
     match id {
         Some(id) => format!("\"id\":\"{}\",", escape_json(id)),
         None => String::new(),
     }
+}
+
+/// The raw `"result":` payload of an ok run response line that carries
+/// no JSONL stream, borrowed byte for byte: the bytes every
+/// byte-identity check compares. `None` when the line has no result.
+pub fn result_payload(response: &str) -> Option<&str> {
+    let start = response.find("\"result\":")? + "\"result\":".len();
+    response.get(start..response.len().checked_sub(1)?)
+}
+
+/// Renders `name: value` pairs as one flat JSON object, in order — the
+/// counter maps inside `stats` replies.
+pub fn counters_object<'a>(fields: impl IntoIterator<Item = (&'a str, u64)>) -> String {
+    let fields: Vec<String> = fields
+        .into_iter()
+        .map(|(name, v)| format!("\"{name}\":{v}"))
+        .collect();
+    format!("{{{}}}", fields.join(","))
 }
 
 impl Response {
@@ -845,7 +922,7 @@ impl Response {
                     "{{\"v\":{PROTOCOL_VERSION},{}\"status\":\"ok\",\"cached\":{cached},\
                      \"coalesced\":{coalesced},\"key\":\"{}\",\"queue_depth\":{queue_depth},\
                      \"latency_us\":{latency_us},\"result\":{result}",
-                    id_prefix(id),
+                    id_field(id),
                     escape_json(key)
                 );
                 if let Some(jsonl) = jsonl {
@@ -861,7 +938,7 @@ impl Response {
             } => format!(
                 "{{\"v\":{PROTOCOL_VERSION},{}\"status\":\"rejected\",\
                  \"queue_depth\":{queue_depth},\"retry_after_ms\":{retry_after_ms}}}",
-                id_prefix(id)
+                id_field(id)
             ),
             Response::Error { id, code, error } => {
                 let code = match code {
@@ -870,17 +947,17 @@ impl Response {
                 };
                 format!(
                     "{{\"v\":{PROTOCOL_VERSION},{}\"status\":\"error\",{code}\"error\":\"{}\"}}",
-                    id_prefix(id),
+                    id_field(id),
                     escape_json(error)
                 )
             }
             Response::Pong { id, proto } => format!(
                 "{{\"v\":{PROTOCOL_VERSION},{}\"status\":\"ok\",\"pong\":true,\"proto\":{proto}}}",
-                id_prefix(id)
+                id_field(id)
             ),
             Response::ShuttingDown { id } => format!(
                 "{{\"v\":{PROTOCOL_VERSION},{}\"status\":\"ok\",\"shutting_down\":true}}",
-                id_prefix(id)
+                id_field(id)
             ),
         }
     }
@@ -1007,8 +1084,7 @@ impl FromStr for Endpoint {
 
     /// The one endpoint grammar every `--addr` flag speaks:
     /// `tcp://host:port`, `unix:///path/to.sock`, or a bare
-    /// `host:port` (treated as TCP for compatibility with the old
-    /// `--listen`/`--connect` flags).
+    /// `host:port` (treated as TCP).
     fn from_str(s: &str) -> Result<Endpoint, String> {
         if let Some(addr) = s.strip_prefix("tcp://") {
             if addr.rsplit_once(':').is_none_or(|(host, port)| {
@@ -1082,28 +1158,22 @@ pub struct ServeClient {
 impl ServeClient {
     /// Connects over TCP (`host:port`) with no socket deadlines.
     pub fn connect_tcp(addr: &str) -> io::Result<ServeClient> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
-        let reader = stream.try_clone()?;
-        Ok(ServeClient {
-            reader: BufReader::new(Box::new(reader)),
-            writer: Box::new(stream),
-        })
-    }
-
-    /// Connects over a Unix domain socket with no socket deadlines.
-    #[cfg(unix)]
-    pub fn connect_unix(path: &str) -> io::Result<ServeClient> {
-        let stream = UnixStream::connect(path)?;
-        let reader = stream.try_clone()?;
-        Ok(ServeClient {
-            reader: BufReader::new(Box::new(reader)),
-            writer: Box::new(stream),
-        })
+        let no_deadlines = ClientTimeouts {
+            connect_ms: 0,
+            read_ms: 0,
+            write_ms: 0,
+        };
+        ServeClient::dial(&Endpoint::Tcp(addr.to_owned()), &no_deadlines)
     }
 
     /// Dials `endpoint` and arms every configured socket deadline.
     pub fn dial(endpoint: &Endpoint, timeouts: &ClientTimeouts) -> io::Result<ServeClient> {
+        fn client<S: Read + Write + Send + 'static>(reader: S, writer: S) -> ServeClient {
+            ServeClient {
+                reader: BufReader::new(Box::new(reader)),
+                writer: Box::new(writer),
+            }
+        }
         match endpoint {
             Endpoint::Tcp(addr) => {
                 let stream = match ms(timeouts.connect_ms) {
@@ -1121,23 +1191,37 @@ impl ServeClient {
                 stream.set_nodelay(true)?;
                 stream.set_read_timeout(ms(timeouts.read_ms))?;
                 stream.set_write_timeout(ms(timeouts.write_ms))?;
-                let reader = stream.try_clone()?;
-                Ok(ServeClient {
-                    reader: BufReader::new(Box::new(reader)),
-                    writer: Box::new(stream),
-                })
+                Ok(client(stream.try_clone()?, stream))
             }
             #[cfg(unix)]
             Endpoint::Unix(path) => {
                 let stream = UnixStream::connect(path)?;
                 stream.set_read_timeout(ms(timeouts.read_ms))?;
                 stream.set_write_timeout(ms(timeouts.write_ms))?;
-                let reader = stream.try_clone()?;
-                Ok(ServeClient {
-                    reader: BufReader::new(Box::new(reader)),
-                    writer: Box::new(stream),
-                })
+                Ok(client(stream.try_clone()?, stream))
             }
+        }
+    }
+
+    /// Dials `endpoint` until a daemon answers `ping`, retrying until
+    /// `deadline` so a freshly spawned daemon has time to bind.
+    pub fn dial_ready(
+        endpoint: &Endpoint,
+        timeouts: &ClientTimeouts,
+        deadline: Instant,
+    ) -> Result<ServeClient, String> {
+        loop {
+            let failure = match ServeClient::dial(endpoint, timeouts) {
+                Ok(mut c) => match c.ping() {
+                    Ok(true) => return Ok(c),
+                    _ => "server did not answer ping".to_owned(),
+                },
+                Err(e) => format!("cannot connect to {endpoint}: {e}"),
+            };
+            if Instant::now() >= deadline {
+                return Err(failure);
+            }
+            std::thread::sleep(Duration::from_millis(50));
         }
     }
 
@@ -1438,10 +1522,6 @@ mod tests {
         spec.params.seed = 42;
         spec.params.faults = Some(FaultPlan::light(7));
         spec.params.sanitize = true;
-        spec.params.driving = schedtask_kernel::DrivingMode::CycleBox {
-            window_cycles: 20_000,
-            shards: 4,
-        };
         spec.params.devices = vec![
             parse_device_spec("network:25000").expect("device"),
             parse_device_spec("disk").expect("device"),
@@ -1482,7 +1562,7 @@ mod tests {
         let err = parse_request("{\"v\":2,\"op\":\"ping\",\"hologram\":true}")
             .expect_err("must refuse v2");
         assert_eq!(err, RequestError::UnsupportedVersion(2));
-        assert_eq!(err.code(), Some("unsupported_version"));
+        assert_eq!(err.code(), "unsupported_version");
         assert!(err.to_string().contains("v1"), "{err}");
         // A malformed version is a plain bad request.
         let err = parse_request("{\"v\":\"one\",\"op\":\"ping\"}").expect_err("must reject");
@@ -1609,14 +1689,114 @@ mod tests {
             "{\"workload\":\"Find\",\"steal\":\"nothing\"}",
             "{\"workload\":\"Find\",\"sanitize\":true}",
             "{\"workload\":\"Find\",\"quick\":false}",
-            "{\"workload\":\"Find\",\"driving\":\"cyclebox\"}",
-            "{\"workload\":\"Find\",\"driving\":\"cyclebox:20000:4\"}",
             "{\"workload\":\"Find\",\"devices\":[\"network\"]}",
             "{\"workload\":\"Find\",\"devices\":[\"network\",\"disk:40000\"]}",
         ] {
             let other = run_spec(line);
             assert_ne!(base.cache_key(), other.cache_key(), "collision for {line}");
         }
+    }
+
+    /// Recorded cache keys. They key the persistent disk tiers and the
+    /// router's shard placement, so any change here rekeys every
+    /// deployed fleet.
+    const GOLDEN_KEYS: [(&str, &str); 3] = [
+        ("{\"workload\":\"Find\"}", "11e94aa48ba5615a"),
+        (
+            "{\"workload\":\"Find\",\"quick\":false}",
+            "ee13e178589e37a0",
+        ),
+        (
+            "{\"workload\":\"Iscp\",\"steal\":\"max-wait\",\"faults\":\"light@7\",\
+             \"sanitize\":true,\"devices\":[\"network:25000\",\"disk:40000\"]}",
+            "416665c10710e6af",
+        ),
+    ];
+
+    #[test]
+    fn golden_cache_keys_are_stable() {
+        for (line, key) in GOLDEN_KEYS {
+            let spec = run_spec(line);
+            assert_eq!(spec.cache_key_hex(), key, "{line}");
+            // The rendered request line parses back to the same key.
+            let round = run_spec(&spec.to_request_line(None, false));
+            assert_eq!(round.cache_key_hex(), key, "{line}");
+            // Every v1 client sent the retired driving field; its
+            // discrete-event spellings must not move the key.
+            for mode in ["\"de\"", "\"DE\"", "\"discrete-event\"", "null"] {
+                let legacy = format!("{},\"driving\":{mode}}}", line.trim_end_matches('}'));
+                assert_eq!(run_spec(&legacy).cache_key_hex(), key, "{legacy}");
+            }
+        }
+        // The standard-parameter key is the one a spec built directly
+        // from ExpParams::standard() gets.
+        let standard = JobSpec {
+            params: ExpParams::standard(),
+            ..JobSpec::new(Technique::SchedTask, BenchmarkKind::Find)
+        };
+        assert_eq!(standard.cache_key_hex(), GOLDEN_KEYS[1].1);
+    }
+
+    #[test]
+    fn retired_driving_modes_are_refused() {
+        for mode in ["cyclebox", "cyclebox:20000:4", "CycleBox:1", "warp", "de:7"] {
+            let line = format!("{{\"workload\":\"Find\",\"driving\":\"{mode}\"}}");
+            let err = parse_request(&line).expect_err("must refuse");
+            assert!(matches!(err, RequestError::Bad(_)), "{err:?}");
+            assert_eq!(err.code(), "bad_request");
+            assert!(err.to_string().contains("discrete-event"), "{err}");
+        }
+        let err = parse_request("{\"workload\":\"Find\",\"driving\":3}").expect_err("must refuse");
+        assert_eq!(err.code(), "bad_request");
+        // The field is no longer written.
+        let line =
+            JobSpec::new(Technique::SchedTask, BenchmarkKind::Find).to_request_line(None, false);
+        assert!(!line.contains("driving"), "{line}");
+    }
+
+    #[test]
+    fn deep_nesting_is_refused_not_a_stack_overflow() {
+        let line = "[".repeat(200_000);
+        assert!(Json::parse(&line).is_err());
+        let err = parse_request(&line).expect_err("must refuse");
+        assert_eq!(err.code(), "bad_request");
+        assert!(err.to_string().contains("nesting"), "{err}");
+        let line = format!("{{\"workload\":{}", "{\"a\":".repeat(200_000));
+        assert!(parse_request(&line).is_err());
+        // Exactly MAX_JSON_DEPTH levels still parse.
+        let ok = format!(
+            "{}{}",
+            "[".repeat(MAX_JSON_DEPTH),
+            "]".repeat(MAX_JSON_DEPTH)
+        );
+        assert!(Json::parse(&ok).is_ok());
+        let over = format!("[{ok}]");
+        assert!(Json::parse(&over).is_err());
+    }
+
+    #[test]
+    fn near_limit_strings_parse_in_linear_time() {
+        let prefix = "{\"workload\":\"";
+        let filler = MAX_LINE_BYTES - prefix.len() - "\"}".len() - 8;
+        // Multi-byte characters exercise the UTF-8 run copy.
+        let value = "é".repeat(filler / 2);
+        let line = format!("{prefix}{value}\"}}");
+        assert!(line.len() < MAX_LINE_BYTES);
+        let started = Instant::now();
+        let err = parse_request(&line).expect_err("no such workload");
+        assert!(err.to_string().starts_with("unknown workload"), "{err}");
+        let unterminated = &line[..line.len() - 2];
+        assert!(parse_request(unterminated).is_err());
+        // A parser that re-validates the rest of the line per character
+        // takes tens of seconds here; a linear one takes milliseconds
+        // even in a debug build.
+        assert!(
+            started.elapsed() < Duration::from_secs(5),
+            "took {:?}",
+            started.elapsed()
+        );
+        let parsed = Json::parse(&format!("\"{value}\\n\\u00e9\"")).expect("parses");
+        assert_eq!(parsed.as_str().map(str::len), Some(value.len() + 1 + 2));
     }
 
     #[test]

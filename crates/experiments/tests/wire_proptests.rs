@@ -3,11 +3,12 @@
 //! Three properties from the PR contract:
 //!
 //! 1. For an arbitrary [`JobSpec`] (any technique × benchmark, steal
-//!    overrides, fault plans, driving modes, device models, ids, the
-//!    obs flag), `parse_request(spec.to_request_line(..))` recovers an
-//!    identical spec — same cache key, same id, same obs flag — and
-//!    re-encoding the parsed spec reproduces the original line byte for
-//!    byte.
+//!    overrides, fault plans, device models, ids, the obs flag),
+//!    `parse_request(spec.to_request_line(..))` recovers an identical
+//!    spec — same cache key, same id, same obs flag — and re-encoding
+//!    the parsed spec reproduces the original line byte for byte. The
+//!    same holds for the line as older clients wrote it, carrying the
+//!    retired `"driving":"de"` field.
 //! 2. Every [`Response`] variant round-trips through render/parse,
 //!    including error responses with machine-readable codes and ok
 //!    responses carrying raw result payloads and JSONL streams.
@@ -18,7 +19,7 @@
 
 use proptest::prelude::*;
 use schedtask::StealPolicy;
-use schedtask_experiments::runner::{parse_device_spec, parse_driving_spec};
+use schedtask_experiments::runner::parse_device_spec;
 use schedtask_experiments::serve_api::{
     parse_request, JobSpec, RequestError, RequestOp, Response, PROTOCOL_VERSION,
 };
@@ -53,7 +54,7 @@ proptest! {
         seed in 0u64..1_000_000,
         faults in prop::sample::select(vec!["", "none", "light", "light@3"]),
         sanitize in prop::bool::ANY,
-        driving in prop::sample::select(vec!["de", "cyclebox:5000:2", "cyclebox:10000:1"]),
+        legacy_driving in prop::sample::select(vec![None, Some("\"de\""), Some("null")]),
         devices in prop::sample::select(vec![
             vec![],
             vec!["disk:700"],
@@ -79,17 +80,22 @@ proptest! {
                 Some(FaultPlan::parse(faults, seed).expect("fault preset parses"));
         }
         spec.params.sanitize = sanitize;
-        spec.params.driving = parse_driving_spec(driving).expect("driving spec parses");
         spec.params.devices = devices
             .iter()
             .map(|d| parse_device_spec(d).expect("device spec parses"))
             .collect();
 
         let line = spec.to_request_line(id, want_obs);
-        let request = match parse_request(&line) {
+        // Lines written before the driving field was retired carry it;
+        // they must parse to the same spec and key.
+        let sent = match legacy_driving {
+            Some(mode) => format!("{},\"driving\":{mode}}}", &line[..line.len() - 1]),
+            None => line.clone(),
+        };
+        let request = match parse_request(&sent) {
             Ok(request) => request,
             Err(e) => return Err(proptest::test_runner::TestCaseError::Fail(
-                format!("canonical line must parse, got {e}: {line}"),
+                format!("canonical line must parse, got {e}: {sent}"),
             )),
         };
         prop_assert_eq!(&request.id, &id.map(str::to_owned));
@@ -194,13 +200,13 @@ proptest! {
             }
         };
         prop_assert_eq!(&err, &RequestError::UnsupportedVersion(version));
-        prop_assert_eq!(err.code(), Some("unsupported_version"));
+        prop_assert_eq!(err.code(), "unsupported_version");
 
         // The refusal the daemon sends for this error is itself a
         // well-formed v1 response that round-trips.
         let refusal = Response::Error {
             id: None,
-            code: err.code().map(str::to_owned),
+            code: Some(err.code().to_owned()),
             error: err.to_string(),
         };
         let rendered = refusal.render();

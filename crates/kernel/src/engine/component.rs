@@ -1,70 +1,39 @@
 //! The component subsystem: everything that evolves over simulated time
-//! behind one trait, plus the two driving modes that advance it.
+//! behind one trait, plus the discrete-event loop that advances it.
 //!
 //! A [`Component`] either *ticks* on its own clock (`next_tick` returns
 //! the next cycle it wants to advance — the per-core machines) or is
 //! *event-driven* (it fires when the global queue pops an event routed
 //! to it — the timer/epoch/IRQ sources, the device-completion bank, and
-//! the DMA device models in [`super::device`]). The engine drives the
-//! same component set in two modes:
+//! the DMA device models in [`super::device`]). The engine repeatedly
+//! picks the global earliest action (lowest-clock busy core vs. queue
+//! head, events winning ties) and executes it.
 //!
-//! * **Discrete-event** — the classic loop: repeatedly pick the global
-//!   earliest action (lowest-clock busy core vs. queue head, events
-//!   winning ties) and execute it.
-//! * **Cycle-box (epoch-barrier)** — time is cut into fixed windows. At
-//!   each barrier every component's [`Component::plan`] runs as *pure
-//!   precomputation* fanned out across `scoped_pool` threads (nothing
-//!   touches shared state); the window body then executes the identical
-//!   serial micro-step loop, consuming the precomputed plans. Because
-//!   planning never changes what the commit phase does — a device's
-//!   pre-sampled arrival deltas are consumed FIFO in exactly RNG-stream
-//!   order no matter how many were precomputed — both modes produce
-//!   bit-identical statistics and observability streams.
-//!
-//! Per-component clock dividers ([`Component::clock_divider`]) also land
-//! here: a core machine at divider `D` charges every cycle `D`-fold,
-//! modelling a core at `1/D` of the reference clock (the seed of
-//! big.LITTLE support).
+//! Per-core clock dividers live in the core state: a core at divider
+//! `D` charges every cycle `D`-fold, modelling a core at `1/D` of the
+//! reference clock (the seed of big.LITTLE support).
 
 use super::{dispatch, interrupts, Engine, EngineCore, EventKind};
-use crate::config::DrivingMode;
 use crate::error::EngineError;
 use crate::faults::FaultInjector;
 use crate::scheduler::{SchedEvent, Scheduler};
-use rand::rngs::SmallRng;
-use schedtask_obs::{ComponentClass, FaultKind, ObsEvent};
-
-/// The precomputed result of a component's parallel plan phase,
-/// installed serially at the next barrier.
-#[derive(Debug)]
-pub(crate) enum ComponentPlan {
-    /// Pre-sampled inter-arrival deltas for a DMA device model, plus the
-    /// RNG state after sampling them. Deltas are consumed FIFO before
-    /// the live RNG, so the consumed stream equals the RNG output stream
-    /// regardless of how many were precomputed.
-    DeviceArrivals {
-        /// Inter-arrival deltas in sampling order.
-        deltas: Vec<u64>,
-        /// The device RNG after drawing `deltas`.
-        rng_after: SmallRng,
-    },
-}
+use schedtask_obs::{FaultKind, ObsEvent};
 
 /// One time-evolving piece of the simulated machine.
 ///
-/// `Send + Sync` because the cycle-box plan phase shares `&self` across
-/// `scoped_pool` worker threads.
-pub(crate) trait Component: Send + Sync + std::fmt::Debug {
-    /// Stable snake_case name (observability vocabulary).
+/// `Send` because the engine that owns the component set is moved onto
+/// sweep worker threads.
+pub(crate) trait Component: Send + std::fmt::Debug {
+    /// Stable snake_case name, used in diagnostics.
     fn name(&self) -> &'static str;
-
-    /// The observability class of this component.
-    fn class(&self) -> ComponentClass;
 
     /// The next absolute cycle at which this component wants a
     /// time-driven tick, or `None` when it is idle or purely
-    /// event-driven.
-    fn next_tick(&self, ctx: &EngineCore) -> Option<u64>;
+    /// event-driven (the default).
+    fn next_tick(&self, ctx: &EngineCore) -> Option<u64> {
+        let _ = ctx;
+        None
+    }
 
     /// Time-driven advance. Called with `ctx.now` equal to the value
     /// this component returned from [`Component::next_tick`].
@@ -91,31 +60,11 @@ pub(crate) trait Component: Send + Sync + std::fmt::Debug {
         })
     }
 
-    /// This component's clock divider: every cycle it charges is
-    /// multiplied by this factor (`1` = reference clock).
-    fn clock_divider(&self) -> u64 {
-        1
-    }
-
     /// Seeds the component's recurring event stream before the run
     /// starts. Runs in component index order, which fixes queue
     /// sequence numbers deterministically.
     fn prime(&mut self, ctx: &mut EngineCore) {
         let _ = ctx;
-    }
-
-    /// Cycle-box barrier phase: pure precomputation for the window
-    /// `[now, window_end)`. Must not rely on anything but `&self` —
-    /// it runs concurrently with other components' plans.
-    fn plan(&self, now: u64, window_end: u64) -> Option<ComponentPlan> {
-        let _ = (now, window_end);
-        None
-    }
-
-    /// Installs the matching [`Component::plan`] result (serial, in
-    /// component index order).
-    fn install_plan(&mut self, plan: ComponentPlan) {
-        let _ = plan;
     }
 }
 
@@ -151,10 +100,7 @@ pub(super) fn build_components(core: &EngineCore) -> (Vec<Box<dyn Component>>, C
     let mut components: Vec<Box<dyn Component>> =
         Vec::with_capacity(n + 4 + core.cfg.devices.len());
     for c in 0..n {
-        components.push(Box::new(CoreMachine {
-            core: c,
-            divider: core.cores[c].divider,
-        }));
+        components.push(Box::new(CoreMachine { core: c }));
     }
     let timer = components.len();
     components.push(Box::new(TimerSource));
@@ -189,15 +135,11 @@ pub(super) fn build_components(core: &EngineCore) -> (Vec<Box<dyn Component>>, C
 #[derive(Debug)]
 struct CoreMachine {
     core: usize,
-    divider: u64,
 }
 
 impl Component for CoreMachine {
     fn name(&self) -> &'static str {
         "core_machine"
-    }
-    fn class(&self) -> ComponentClass {
-        ComponentClass::CoreMachine
     }
     fn next_tick(&self, ctx: &EngineCore) -> Option<u64> {
         let cs = &ctx.cores[self.core];
@@ -205,9 +147,6 @@ impl Component for CoreMachine {
     }
     fn tick(&mut self, ctx: &mut EngineCore, sched: &mut dyn Scheduler) -> Result<(), EngineError> {
         dispatch::step_core(ctx, sched, self.core)
-    }
-    fn clock_divider(&self) -> u64 {
-        self.divider
     }
 }
 
@@ -218,12 +157,6 @@ struct TimerSource;
 impl Component for TimerSource {
     fn name(&self) -> &'static str {
         "timer_source"
-    }
-    fn class(&self) -> ComponentClass {
-        ComponentClass::TimerSource
-    }
-    fn next_tick(&self, _ctx: &EngineCore) -> Option<u64> {
-        None
     }
     fn prime(&mut self, ctx: &mut EngineCore) {
         let tick = ctx.cfg.timer_tick_cycles;
@@ -263,12 +196,6 @@ impl Component for EpochSource {
     fn name(&self) -> &'static str {
         "epoch_source"
     }
-    fn class(&self) -> ComponentClass {
-        ComponentClass::EpochSource
-    }
-    fn next_tick(&self, _ctx: &EngineCore) -> Option<u64> {
-        None
-    }
     fn prime(&mut self, ctx: &mut EngineCore) {
         ctx.schedule_event(ctx.cfg.epoch_cycles, EventKind::Epoch);
     }
@@ -303,12 +230,6 @@ struct IrqSource;
 impl Component for IrqSource {
     fn name(&self) -> &'static str {
         "irq_source"
-    }
-    fn class(&self) -> ComponentClass {
-        ComponentClass::IrqSource
-    }
-    fn next_tick(&self, _ctx: &EngineCore) -> Option<u64> {
-        None
     }
     fn prime(&mut self, ctx: &mut EngineCore) {
         for bench in 0..ctx.instances.len() {
@@ -372,12 +293,6 @@ impl Component for DeviceBank {
     fn name(&self) -> &'static str {
         "device_bank"
     }
-    fn class(&self) -> ComponentClass {
-        ComponentClass::DeviceBank
-    }
-    fn next_tick(&self, _ctx: &EngineCore) -> Option<u64> {
-        None
-    }
     fn handle_event(
         &mut self,
         ctx: &mut EngineCore,
@@ -403,96 +318,23 @@ impl Component for DeviceBank {
     }
 }
 
-/// What one serial micro-step did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Step {
-    /// No busy core and no queued event: the simulation is drained.
-    Done,
-    /// One action (event or core quantum) executed.
-    Progressed,
-    /// The earliest action lies at or beyond the horizon; nothing ran.
-    Horizon,
-}
-
 impl Engine {
-    /// Runs the configured driving mode to completion (until drained or
-    /// a stop condition from [`Engine::post_step`]).
+    /// Runs the discrete-event loop to completion (until drained or a
+    /// stop condition from [`Engine::post_step`]).
     pub(super) fn drive(&mut self) -> Result<(), EngineError> {
-        match self.core.cfg.driving {
-            DrivingMode::DiscreteEvent => self.drive_discrete_event(),
-            DrivingMode::CycleBox {
-                window_cycles,
-                shards,
-            } => self.drive_cycle_box(window_cycles, shards),
-        }
-    }
-
-    fn drive_discrete_event(&mut self) -> Result<(), EngineError> {
-        loop {
-            match self.step_once(u64::MAX)? {
-                Step::Done | Step::Horizon => return Ok(()),
-                Step::Progressed => {
-                    if self.post_step()? {
-                        return Ok(());
-                    }
-                }
+        while self.step_once()? {
+            if self.post_step()? {
+                break;
             }
         }
+        Ok(())
     }
 
-    fn drive_cycle_box(&mut self, window: u64, shards: usize) -> Result<(), EngineError> {
-        let mut window_end = window;
-        loop {
-            // Barrier phase: pure per-component precomputation, fanned
-            // out across worker threads (serial when shards <= 1).
-            // Nothing here reads or writes shared engine state.
-            let now = self.core.now;
-            let plans =
-                scoped_pool::scoped_map(&self.components, shards, move |c| c.plan(now, window_end));
-            // Install serially in component index order: deterministic.
-            for (i, plan) in plans.into_iter().enumerate() {
-                if let Some(p) = plan {
-                    self.components[i].install_plan(p);
-                }
-            }
-            // Window body: the identical serial micro-step loop, bounded
-            // by the barrier.
-            loop {
-                match self.step_once(window_end)? {
-                    Step::Done => return Ok(()),
-                    Step::Progressed => {
-                        if self.post_step()? {
-                            return Ok(());
-                        }
-                    }
-                    Step::Horizon => break,
-                }
-            }
-            if window_end == u64::MAX {
-                // Nothing below u64::MAX remained; the queue can only
-                // hold unreachable far-future work.
-                return Ok(());
-            }
-            // Skip ahead: jump the next barrier past the earliest
-            // pending action so fully idle windows cost nothing.
-            let comp_next = self
-                .components
-                .iter()
-                .filter_map(|c| c.next_tick(&self.core))
-                .min();
-            let event_next = self.core.events.peek().map(|e| e.time);
-            let Some(next) = comp_next.into_iter().chain(event_next).min() else {
-                return Ok(());
-            };
-            window_end = (next / window + 1).saturating_mul(window);
-        }
-    }
-
-    /// One serial micro-step: pick the global earliest action — the
+    /// One micro-step: pick the global earliest action — the
     /// lowest-(clock, index) busy component tick or the queue head, the
-    /// queue winning ties — and execute it, unless it lies at or beyond
-    /// `horizon`.
-    fn step_once(&mut self, horizon: u64) -> Result<Step, EngineError> {
+    /// queue winning ties — and execute it. Returns `false` when no busy
+    /// component and no queued event remain: the simulation is drained.
+    fn step_once(&mut self) -> Result<bool, EngineError> {
         let mut comp_next: Option<(u64, usize)> = None;
         for (i, comp) in self.components.iter().enumerate() {
             if let Some(t) = comp.next_tick(&self.core) {
@@ -502,29 +344,15 @@ impl Engine {
             }
         }
         let event_next = self.core.events.peek().map(|e| e.time);
-        let (time, tick_idx) = match (comp_next, event_next) {
-            (None, None) => return Ok(Step::Done),
-            (Some((ct, i)), Some(et)) => {
-                if et <= ct {
-                    (et, None)
-                } else {
-                    (ct, Some(i))
-                }
-            }
-            (Some((ct, i)), None) => (ct, Some(i)),
-            (None, Some(et)) => (et, None),
-        };
-        if time >= horizon {
-            return Ok(Step::Horizon);
-        }
-        match tick_idx {
-            Some(i) => {
-                self.core.now = time;
+        match (comp_next, event_next) {
+            (None, None) => return Ok(false),
+            (Some((ct, i)), et) if et.is_none_or(|et| ct < et) => {
+                self.core.now = ct;
                 self.components[i].tick(&mut self.core, self.scheduler.as_mut())?;
             }
-            None => self.process_next_event()?,
+            _ => self.process_next_event()?,
         }
-        Ok(Step::Progressed)
+        Ok(true)
     }
 
     /// Pops the earliest event and routes it to the owning component,
@@ -636,17 +464,8 @@ mod tests {
     }
 
     #[test]
-    fn clock_dividers_land_in_the_trait_and_slow_the_core() {
+    fn clock_dividers_slow_the_core() {
         let cfg = base_cfg().with_core_clock_dividers(vec![1, 4]);
-        let engine = engine_with(cfg.clone());
-        let dividers: Vec<u64> = engine
-            .components
-            .iter()
-            .take(2)
-            .map(|c| c.clock_divider())
-            .collect();
-        assert_eq!(dividers, vec![1, 4]);
-
         let slow = run_stats(cfg);
         let even = run_stats(base_cfg());
         assert!(
@@ -655,35 +474,6 @@ mod tests {
             slow.final_cycle,
             even.final_cycle
         );
-    }
-
-    #[test]
-    fn cycle_box_serial_is_bit_identical_to_discrete_event() {
-        let de = run_stats(base_cfg());
-        let cb = run_stats(
-            base_cfg().with_driving(crate::config::DrivingMode::CycleBox {
-                window_cycles: 50_000,
-                shards: 1,
-            }),
-        );
-        assert_eq!(de.to_canonical_json(), cb.to_canonical_json());
-    }
-
-    #[test]
-    fn cycle_box_sharded_is_bit_identical_with_devices_and_faults() {
-        let cfg = || {
-            base_cfg()
-                .with_device(dev(DeviceKind::Network, 30_000))
-                .with_device(dev(DeviceKind::Disk, 90_000))
-                .with_faults(crate::faults::FaultPlan::light(11))
-        };
-        let de = run_stats(cfg());
-        let cb = run_stats(cfg().with_driving(crate::config::DrivingMode::CycleBox {
-            window_cycles: 20_000,
-            shards: 4,
-        }));
-        assert_eq!(de.to_canonical_json(), cb.to_canonical_json());
-        assert!(de.interrupts_delivered > 0);
     }
 
     #[test]

@@ -3,15 +3,11 @@
 //!
 //! Each device owns a private RNG (decoupled from the engine RNG so
 //! adding a device never perturbs existing event streams) and schedules
-//! its next [`EventKind::DeviceTick`] one delta ahead. In cycle-box
-//! mode the barrier plan phase pre-samples a window's worth of deltas on
-//! a *clone* of the RNG; the commit phase consumes pre-sampled deltas
-//! FIFO before touching the live RNG, so the consumed delta sequence
-//! equals the RNG output stream in order regardless of how many were
-//! precomputed — planning is a performance knob, never a correctness
-//! one, even when a `drop_irq` fault delays a tick past the window.
+//! its next [`EventKind::DeviceTick`] one delta ahead. The device is
+//! purely event-driven: arrivals ride the global queue, keeping the
+//! `(time, seq)` total order authoritative.
 
-use super::component::{Component, ComponentPlan};
+use super::component::Component;
 use super::{interrupts, EngineCore, EventKind};
 use crate::config::DeviceModelConfig;
 use crate::error::EngineError;
@@ -19,11 +15,6 @@ use crate::scheduler::Scheduler;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use schedtask_obs::{ComponentClass, ObsEvent, SpanKind};
-use std::collections::VecDeque;
-
-/// Upper bound on deltas pre-sampled per plan window (keeps a huge
-/// window from ballooning the pending queue; correctness is unaffected).
-const MAX_PLANNED_DELTAS: u64 = 64;
 
 /// One interrupt-injecting device model.
 #[derive(Debug)]
@@ -34,9 +25,6 @@ pub(crate) struct DmaDevice {
     cfg: DeviceModelConfig,
     /// Private arrival RNG; never shared with the engine RNG.
     rng: SmallRng,
-    /// Pre-sampled inter-arrival deltas installed by the cycle-box plan
-    /// phase, consumed FIFO before the live RNG.
-    pending: VecDeque<u64>,
 }
 
 impl DmaDevice {
@@ -48,23 +36,14 @@ impl DmaDevice {
             index,
             cfg,
             rng: SmallRng::seed_from_u64(seed),
-            pending: VecDeque::new(),
         }
     }
 
-    /// One inter-arrival delta: the configured period with ±50 % jitter.
-    fn draw(rng: &mut SmallRng, period: u64) -> u64 {
-        let base = period.max(1);
-        rng.gen_range(base / 2..=base + base / 2).max(1)
-    }
-
-    /// The next delta in stream order: pre-sampled if available, else
-    /// drawn live.
+    /// The next inter-arrival delta: the configured period with ±50 %
+    /// jitter.
     fn sample_delta(&mut self) -> u64 {
-        match self.pending.pop_front() {
-            Some(d) => d,
-            None => Self::draw(&mut self.rng, self.cfg.period_cycles),
-        }
+        let base = self.cfg.period_cycles.max(1);
+        self.rng.gen_range(base / 2..=base + base / 2).max(1)
     }
 }
 
@@ -73,20 +52,8 @@ impl Component for DmaDevice {
         "dma_device"
     }
 
-    fn class(&self) -> ComponentClass {
-        ComponentClass::DmaDevice
-    }
-
-    fn next_tick(&self, _ctx: &EngineCore) -> Option<u64> {
-        // Event-driven: arrivals ride the global queue as DeviceTick
-        // events, keeping the (time, seq) total order authoritative.
-        None
-    }
-
     fn prime(&mut self, ctx: &mut EngineCore) {
-        // The first arrival comes off the private RNG before any plan
-        // phase can run, so both driving modes consume it identically.
-        let first = Self::draw(&mut self.rng, self.cfg.period_cycles);
+        let first = self.sample_delta();
         ctx.schedule_event(first, EventKind::DeviceTick { device: self.index });
     }
 
@@ -141,30 +108,6 @@ impl Component for DmaDevice {
         );
         Ok(())
     }
-
-    fn plan(&self, now: u64, window_end: u64) -> Option<ComponentPlan> {
-        // Pure precomputation on a clone of the live RNG: sample enough
-        // deltas to cover the window. The commit phase appends them after
-        // any still-pending deltas, preserving exact stream order.
-        let mut rng = self.rng.clone();
-        let period = self.cfg.period_cycles.max(1);
-        let span = window_end.saturating_sub(now);
-        let want = (span / period).min(MAX_PLANNED_DELTAS) as usize + 1;
-        let mut deltas = Vec::with_capacity(want);
-        for _ in 0..want {
-            deltas.push(Self::draw(&mut rng, self.cfg.period_cycles));
-        }
-        Some(ComponentPlan::DeviceArrivals {
-            deltas,
-            rng_after: rng,
-        })
-    }
-
-    fn install_plan(&mut self, plan: ComponentPlan) {
-        let ComponentPlan::DeviceArrivals { deltas, rng_after } = plan;
-        self.pending.extend(deltas);
-        self.rng = rng_after;
-    }
 }
 
 #[cfg(test)]
@@ -181,30 +124,6 @@ mod tests {
             },
             42,
         )
-    }
-
-    #[test]
-    fn planned_deltas_match_the_live_stream_exactly() {
-        // Whatever mix of plan windows is installed, the consumed delta
-        // sequence must equal the stream a plan-free device produces.
-        let mut live = device();
-        let reference: Vec<u64> = (0..40).map(|_| live.sample_delta()).collect();
-
-        let mut planned = device();
-        let mut consumed = Vec::new();
-        // Window 1: plan, install, consume a few (fewer than planned).
-        let p = planned.plan(0, 35_000).expect("device plans");
-        planned.install_plan(p);
-        for _ in 0..2 {
-            consumed.push(planned.sample_delta());
-        }
-        // Window 2: plan again with leftovers pending.
-        let p = planned.plan(35_000, 150_000).expect("device plans");
-        planned.install_plan(p);
-        while consumed.len() < 40 {
-            consumed.push(planned.sample_delta());
-        }
-        assert_eq!(consumed, reference);
     }
 
     #[test]

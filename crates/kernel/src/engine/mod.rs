@@ -18,11 +18,7 @@
 //! narrow internal API. Everything that evolves over simulated time is a
 //! `component::Component` — the per-core machines, the timer/epoch/IRQ
 //! sources, the device-completion bank, and optional DMA device models —
-//! and the engine drives the same component set in either of two modes
-//! ([`crate::DrivingMode`]): classic discrete-event, or cycle-box
-//! "epoch-barrier" execution that fans a pure per-component plan phase
-//! across threads between barriers while keeping the commit phase
-//! serial, so both modes are bit-identical.
+//! and one discrete-event loop drives the whole component set.
 //!
 //! * `machine` — per-core execution state (clocks, preempt stacks, the
 //!   hardware Page-heatmap registers), the [`EngineCore`] context passed
@@ -35,8 +31,7 @@
 //! * `dispatch` — the TMigrate/TAlloc hook sites: quantum boundaries,
 //!   system-call creation, blocking, completion, and wakeups;
 //! * `component` — the `Component` trait (`next_tick`/`tick`,
-//!   event routing, clock dividers, plan/install for the barrier mode)
-//!   and the two driving-mode loops;
+//!   event routing, clock dividers) and the discrete-event loop;
 //! * `device` — the DMA/NIC-style interrupt-injecting device model.
 //!
 //! Everything in the pipeline is [`Send`]: an [`Engine`] can be built on
@@ -58,11 +53,9 @@ pub(crate) use events::EventKind;
 use crate::config::EngineConfig;
 use crate::error::{ConfigError, EngineError};
 use crate::ids::ThreadId;
-use crate::observe::TraceRingObserver;
 use crate::sanitizer::SanitizerState;
 use crate::scheduler::Scheduler;
 use crate::stats::SimStats;
-use crate::trace::TraceLog;
 use schedtask_obs::{ObsEvent, Observer};
 use schedtask_workload::{BenchmarkKind, BenchmarkSpec, MultiProgrammedWorkload};
 use std::sync::Arc;
@@ -136,9 +129,6 @@ pub struct Engine {
     finished: bool,
     pub(crate) sanitizer: Option<SanitizerState>,
     watch: WatchState,
-    /// The legacy-trace compatibility shim, attached automatically when
-    /// [`EngineConfig::trace_capacity`] is non-zero.
-    trace_ring: Option<Arc<TraceRingObserver>>,
 }
 
 // The whole run pipeline is `Send` by contract: a sweep harness moves
@@ -177,16 +167,8 @@ impl Engine {
             return Err(ConfigError::EmptyWorkload.into());
         }
         let sanitize = cfg.sanitize;
-        let trace_capacity = cfg.trace_capacity;
-        let mut core = EngineCore::build(cfg, workload);
+        let core = EngineCore::build(cfg, workload);
         let sanitizer = sanitize.then(|| SanitizerState::new(core.num_cores()));
-        // The legacy TraceEvent ring now rides on the Observer stream:
-        // when tracing is configured, attach the shim that fills it.
-        let trace_ring = (trace_capacity > 0).then(|| {
-            let ring = Arc::new(TraceRingObserver::new(trace_capacity));
-            core.attach_observer(Arc::clone(&ring) as Arc<dyn Observer>);
-            ring
-        });
         let (components, comp_idx) = component::build_components(&core);
         Ok(Engine {
             core,
@@ -201,7 +183,6 @@ impl Engine {
                 last_progress_cycle: 0,
                 started: std::time::Instant::now(),
             },
-            trace_ring,
         })
     }
 
@@ -215,15 +196,6 @@ impl Engine {
         self.core.attach_observer(obs);
     }
 
-    /// A point-in-time copy of the legacy SuperFunction lifecycle trace
-    /// (empty unless [`EngineConfig::trace_capacity`] is set).
-    pub fn trace_snapshot(&self) -> TraceLog {
-        self.trace_ring
-            .as_ref()
-            .map(|ring| ring.snapshot())
-            .unwrap_or_else(|| TraceLog::new(0))
-    }
-
     /// Access to the engine state (for inspection in tests and
     /// experiments).
     pub fn engine_core(&self) -> &EngineCore {
@@ -233,17 +205,6 @@ impl Engine {
     /// The scheduling technique's name.
     pub fn scheduler_name(&self) -> &'static str {
         self.scheduler.name()
-    }
-
-    /// The component inventory in driving order: `(name, class, clock
-    /// divider)` per component. Core machines come first (component
-    /// index == core index), then the timer/epoch/IRQ sources, the
-    /// device-completion bank, and any configured device models.
-    pub fn components(&self) -> Vec<(&'static str, schedtask_obs::ComponentClass, u64)> {
-        self.components
-            .iter()
-            .map(|c| (c.name(), c.class(), c.clock_divider()))
-            .collect()
     }
 
     /// Runs the simulation to completion and returns the statistics.
@@ -280,8 +241,6 @@ impl Engine {
             self.components[i].prime(&mut self.core);
         }
 
-        // Hand control to the configured driving mode; both modes run
-        // the identical serial micro-step and are bit-identical.
         self.drive()?;
 
         self.finalize();

@@ -147,43 +147,23 @@ impl ChaosKind {
     }
 }
 
-/// Coarse classification of an engine component, mirroring the kernel
-/// crate's `Component` implementations without depending on them.
+/// Class of an engine component that reports its own ticks and spans.
+/// Only the DMA/NIC device models do; the other components (core
+/// machines, timer/epoch/IRQ sources, the device-completion bank)
+/// surface through the SuperFunction, epoch, and IRQ events instead.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ComponentClass {
-    /// A per-core execution machine.
-    CoreMachine,
-    /// The periodic timer-tick source.
-    TimerSource,
-    /// The spontaneous external-IRQ source.
-    IrqSource,
-    /// The TAlloc epoch boundary source.
-    EpochSource,
-    /// The device-completion bank (blocked-SF wakeups).
-    DeviceBank,
     /// A DMA/NIC-style device model injecting interrupt traffic.
     DmaDevice,
 }
 
 impl ComponentClass {
     /// All component classes, in a stable order.
-    pub const ALL: [ComponentClass; 6] = [
-        ComponentClass::CoreMachine,
-        ComponentClass::TimerSource,
-        ComponentClass::IrqSource,
-        ComponentClass::EpochSource,
-        ComponentClass::DeviceBank,
-        ComponentClass::DmaDevice,
-    ];
+    pub const ALL: [ComponentClass; 1] = [ComponentClass::DmaDevice];
 
     /// Stable snake_case name used in JSONL output and summary tables.
     pub fn name(self) -> &'static str {
         match self {
-            ComponentClass::CoreMachine => "core_machine",
-            ComponentClass::TimerSource => "timer_source",
-            ComponentClass::IrqSource => "irq_source",
-            ComponentClass::EpochSource => "epoch_source",
-            ComponentClass::DeviceBank => "device_bank",
             ComponentClass::DmaDevice => "dma_device",
         }
     }

@@ -10,8 +10,12 @@ use std::sync::Mutex;
 use crate::event::ObsEvent;
 use crate::Observer;
 
-/// Escapes a label for embedding inside a JSON string literal.
-fn escape_json(s: &str) -> String {
+/// Escapes a string for embedding inside a JSON string literal: quote,
+/// backslash, and the `\n`/`\r`/`\t` short forms; other control
+/// characters as `\u00XX`. The repository's one JSON string escaper —
+/// the JSONL sink, the serve wire protocol, and the perf artefact all
+/// write through it.
+pub fn escape_json(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for ch in s.chars() {
         match ch {
@@ -304,5 +308,7 @@ mod tests {
     fn escape_handles_quotes_and_controls() {
         assert_eq!(escape_json("a\"b\\c\n"), "a\\\"b\\\\c\\n");
         assert_eq!(escape_json("\u{1}"), "\\u0001");
+        assert_eq!(escape_json("\r\t"), "\\r\\t");
+        assert_eq!(escape_json("\u{1f}é"), "\\u001fé");
     }
 }

@@ -39,7 +39,7 @@ mod jsonl;
 pub use aggregate::{render_counter_table, render_span_table, Aggregator, SpanRow};
 pub use counters::{Counter, CounterSet, CounterSnapshot};
 pub use event::{ChaosKind, ComponentClass, FaultKind, ObsEvent, SfClass, SpanKind, StealLevel};
-pub use jsonl::{event_to_json, JsonlSink};
+pub use jsonl::{escape_json, event_to_json, JsonlSink};
 
 /// A sink for structured observability data.
 ///

@@ -25,8 +25,8 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use schedtask_experiments::serve_api::{
-    escape_json, fnv1a64, parse_request, ClientTimeouts, Endpoint, Json, RequestOp, Response,
-    ServeClient, PROTOCOL_VERSION,
+    counters_object, fnv1a64, id_field, parse_request, ClientTimeouts, Endpoint, Json, RequestOp,
+    Response, ServeClient, PROTOCOL_VERSION,
 };
 use schedtask_kernel::SimStats;
 use schedtask_obs::{Aggregator, Counter, CounterSnapshot, ObsEvent, Observer, SpanKind};
@@ -186,7 +186,7 @@ impl Router {
             Err(err) => {
                 let resp = Response::Error {
                     id: None,
-                    code: err.code().map(str::to_owned),
+                    code: Some(err.code().to_owned()),
                     error: err.to_string(),
                 };
                 return (resp.render(), false);
@@ -432,35 +432,18 @@ impl Router {
                 }
             }
         }
-        let id_field = match id {
-            Some(id) => format!("\"id\":\"{}\",", escape_json(id)),
-            None => String::new(),
-        };
-        let mut own = String::from("{");
         let snap = self.agg.counters();
-        let mut first = true;
-        for (c, v) in snap.iter().filter(|&(_, v)| v > 0) {
-            if !first {
-                own.push(',');
-            }
-            first = false;
-            own.push_str(&format!("\"{}\":{v}", c.name()));
-        }
-        own.push('}');
-        let mut workers = String::from("{");
-        let mut first = true;
-        for (name, v) in &worker_sums {
-            if !first {
-                workers.push(',');
-            }
-            first = false;
-            workers.push_str(&format!("\"{name}\":{v}"));
-        }
-        workers.push('}');
+        let own = counters_object(
+            snap.iter()
+                .filter(|&(_, v)| v > 0)
+                .map(|(c, v)| (c.name(), v)),
+        );
+        let workers = counters_object(worker_sums.iter().map(|(name, v)| (name.as_str(), *v)));
         format!(
-            "{{\"v\":{PROTOCOL_VERSION},{id_field}\"status\":\"ok\",\"router\":true,\
+            "{{\"v\":{PROTOCOL_VERSION},{}\"status\":\"ok\",\"router\":true,\
              \"workers\":{},\"workers_reachable\":{reachable},\
              \"hot_entries\":{},\"counters\":{own},\"worker_counters\":{workers}}}",
+            id_field(id),
             self.cfg.workers.len(),
             self.hot.entries()
         )

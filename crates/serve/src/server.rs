@@ -13,7 +13,7 @@ use std::time::Instant;
 use schedtask::{SchedTaskConfig, SchedTaskScheduler};
 use schedtask_experiments::runner::{panic_message, RunBuilder};
 use schedtask_experiments::serve_api::{
-    parse_request, JobSpec, RequestOp, Response, PROTOCOL_VERSION,
+    counters_object, id_field, parse_request, JobSpec, RequestOp, Response, PROTOCOL_VERSION,
 };
 use schedtask_kernel::SimStats;
 use schedtask_obs::{
@@ -358,13 +358,13 @@ impl Server {
         let req = match parse_request(line) {
             Ok(req) => req,
             Err(err) => {
-                // Version skew is a structured error (code
-                // "unsupported_version"), not a parse failure: the
-                // client can tell "upgrade me" apart from "fix your
-                // request".
+                // Refusals carry a machine-readable code —
+                // "unsupported_version" for version skew, "bad_request"
+                // otherwise — so the client can tell "upgrade me" apart
+                // from "fix your request".
                 let resp = Response::Error {
                     id: None,
-                    code: err.code().map(str::to_owned),
+                    code: Some(err.code().to_owned()),
                     error: err.to_string(),
                 };
                 return (resp.render(), false);
@@ -490,16 +490,11 @@ impl Server {
 
     fn stats_response(&self, id: &Option<String>) -> String {
         let snap = self.agg.counters();
-        let mut counters = String::from("{");
-        let mut first = true;
-        for (c, v) in snap.iter().filter(|&(_, v)| v > 0) {
-            if !first {
-                counters.push(',');
-            }
-            first = false;
-            counters.push_str(&format!("\"{}\":{v}", c.name()));
-        }
-        counters.push('}');
+        let counters = counters_object(
+            snap.iter()
+                .filter(|&(_, v)| v > 0)
+                .map(|(c, v)| (c.name(), v)),
+        );
         format!(
             "{{\"v\":{PROTOCOL_VERSION},{}\"status\":\"ok\",\"queue_depth\":{},\
              \"queue_capacity\":{},\"cache_entries\":{},\"disk_entries\":{},\
@@ -510,18 +505,6 @@ impl Server {
             self.cache.entries(),
             self.disk_entries()
         )
-    }
-}
-
-/// Renders the optional leading `"id":"...",` response field (stats
-/// responses only; typed responses render through [`Response`]).
-fn id_field(id: &Option<String>) -> String {
-    match id {
-        Some(id) => format!(
-            "\"id\":\"{}\",",
-            schedtask_experiments::serve_api::escape_json(id)
-        ),
-        None => String::new(),
     }
 }
 
@@ -569,7 +552,7 @@ fn execute_job(spec: &JobSpec) -> Result<JobOutput, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use schedtask_experiments::serve_api::Json;
+    use schedtask_experiments::serve_api::{result_payload, Json};
     use schedtask_obs::Counter;
 
     fn quick_run_line(id: &str, workload: &str) -> String {
@@ -609,11 +592,10 @@ mod tests {
         );
         // The cached replay carries byte-identical result bytes: strip
         // the differing envelope (id, latency) and compare the payload.
-        let result_of = |resp: &str| {
-            let start = resp.find("\"result\":").expect("result field") + "\"result\":".len();
-            resp[start..resp.len() - 1].to_owned()
-        };
-        assert_eq!(result_of(&first), result_of(&second));
+        assert_eq!(
+            result_payload(&first).expect("result field"),
+            result_payload(&second).expect("result field")
+        );
 
         let snap = server.counters();
         assert_eq!(snap.get(Counter::ServeSubmitted), 2);
@@ -741,10 +723,6 @@ mod tests {
             cache_dir: Some(dir.clone()),
             chaos: None,
         };
-        let result_of = |resp: &str| {
-            let start = resp.find("\"result\":").expect("result field") + "\"result\":".len();
-            resp[start..resp.len() - 1].to_owned()
-        };
         // First lifetime: execute and persist.
         let first = {
             let server = Arc::new(Server::new(cfg.clone()));
@@ -772,7 +750,10 @@ mod tests {
             Some(true),
             "{second}"
         );
-        assert_eq!(result_of(&first), result_of(&second));
+        assert_eq!(
+            result_payload(&first).expect("result field"),
+            result_payload(&second).expect("result field")
+        );
         assert_eq!(server.counters().get(Counter::ServeDiskHits), 1);
         assert_eq!(server.counters().get(Counter::ServeExecuted), 0);
         std::fs::remove_dir_all(&dir).expect("cleanup");

@@ -14,7 +14,7 @@ use std::sync::Arc;
 use proptest::prelude::*;
 use schedtask::{SchedTaskConfig, SchedTaskScheduler};
 use schedtask_experiments::runner::RunBuilder;
-use schedtask_experiments::serve_api::{parse_request, JobSpec, Json, RequestOp};
+use schedtask_experiments::serve_api::{parse_request, result_payload, JobSpec, Json, RequestOp};
 use schedtask_obs::{Counter, JsonlSink, Observer};
 use schedtask_serve::{ServeConfig, Server};
 
@@ -56,13 +56,6 @@ fn result_before_jsonl(resp: &str) -> String {
     let start = resp.find("\"result\":").expect("result field") + "\"result\":".len();
     let end = resp.find(",\"jsonl\":").expect("jsonl field");
     resp[start..end].to_owned()
-}
-
-/// Extracts the `result` object bytes from an ok response without a
-/// `jsonl` field (the object runs to the closing brace).
-fn result_to_end(resp: &str) -> String {
-    let start = resp.find("\"result\":").expect("result field") + "\"result\":".len();
-    resp[start..resp.len() - 1].to_owned()
 }
 
 proptest! {
@@ -146,11 +139,11 @@ proptest! {
         server.close();
         dispatcher.join().expect("dispatcher exits");
 
-        let first = result_to_end(&responses[0]);
+        let first = result_payload(&responses[0]).expect("result field");
         for resp in &responses {
             let json = Json::parse(resp).expect("response parses");
             prop_assert_eq!(json.get("status").and_then(Json::as_str), Some("ok"), "{}", resp);
-            prop_assert_eq!(result_to_end(resp), first.clone());
+            prop_assert_eq!(result_payload(resp), Some(first));
         }
         // Exactly one claim executed; everyone else hit or coalesced.
         prop_assert_eq!(server.counters().get(Counter::ServeExecuted), 1u64);

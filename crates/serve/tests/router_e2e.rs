@@ -11,7 +11,7 @@ use std::net::TcpListener;
 use std::sync::Arc;
 use std::thread;
 
-use schedtask_experiments::serve_api::{Endpoint, JobSpec, Json, Response};
+use schedtask_experiments::serve_api::{result_payload, Endpoint, JobSpec, Json, Response};
 use schedtask_experiments::Technique;
 use schedtask_obs::Counter;
 use schedtask_serve::router::{build_ring, route, RING_REPLICAS};
@@ -97,11 +97,6 @@ fn tiny_spec(seed: u64) -> JobSpec {
     spec
 }
 
-fn result_of(resp: &str) -> String {
-    let start = resp.find("\"result\":").expect("result field") + "\"result\":".len();
-    resp[start..resp.len() - 1].to_owned()
-}
-
 #[test]
 fn duplicates_execute_once_fleet_wide_with_byte_identical_results() {
     let cfg = ServeConfig {
@@ -135,7 +130,7 @@ fn duplicates_execute_once_fleet_wide_with_byte_identical_results() {
         .map(|h| h.join().expect("submitter does not panic"))
         .collect();
 
-    let first = result_of(&responses[0]);
+    let first = result_payload(&responses[0]).expect("result field");
     for resp in &responses {
         let json = Json::parse(resp).expect("response parses");
         assert_eq!(
@@ -143,7 +138,11 @@ fn duplicates_execute_once_fleet_wide_with_byte_identical_results() {
             Some("ok"),
             "{resp}"
         );
-        assert_eq!(result_of(resp), first, "identical bytes for every caller");
+        assert_eq!(
+            result_payload(resp),
+            Some(first),
+            "identical bytes for every caller"
+        );
     }
 
     // Exactly one execution across the whole fleet.
@@ -156,7 +155,7 @@ fn duplicates_execute_once_fleet_wide_with_byte_identical_results() {
     let (replay, _) = router.handle_request_line(&line);
     let rj = Json::parse(&replay).expect("replay parses");
     assert_eq!(rj.get("cached").and_then(Json::as_bool), Some(true));
-    assert_eq!(result_of(&replay), first);
+    assert_eq!(result_payload(&replay), Some(first));
     assert_eq!(
         router.counter(Counter::ServeRouterForwarded),
         forwarded_before
@@ -174,7 +173,11 @@ fn duplicates_execute_once_fleet_wide_with_byte_identical_results() {
     );
     let direct_worker = if owner == 0 { &worker_a } else { &worker_b };
     let (direct, _) = direct_worker.handle_request_line(&line);
-    assert_eq!(result_of(&direct), first, "router is byte-transparent");
+    assert_eq!(
+        result_payload(&direct),
+        Some(first),
+        "router is byte-transparent"
+    );
 
     worker_a.close();
     worker_b.close();

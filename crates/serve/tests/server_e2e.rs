@@ -8,7 +8,7 @@ use std::net::TcpListener;
 use std::sync::Arc;
 use std::thread;
 
-use schedtask_experiments::serve_api::{JobSpec, Json, ServeClient};
+use schedtask_experiments::serve_api::{result_payload, JobSpec, Json, ServeClient};
 use schedtask_experiments::Technique;
 use schedtask_serve::{ServeConfig, Server};
 use schedtask_workload::BenchmarkKind;
@@ -48,11 +48,6 @@ fn start_tcp(cfg: ServeConfig) -> (String, Arc<Server>, thread::JoinHandle<()>) 
     (addr, server, dispatcher)
 }
 
-fn result_of(resp: &str) -> String {
-    let start = resp.find("\"result\":").expect("result field") + "\"result\":".len();
-    resp[start..resp.len() - 1].to_owned()
-}
-
 #[test]
 fn tcp_round_trip_caches_and_acknowledges_shutdown() {
     let (addr, server, dispatcher) = start_tcp(ServeConfig {
@@ -88,7 +83,10 @@ fn tcp_round_trip_caches_and_acknowledges_shutdown() {
         Some(true),
         "{second}"
     );
-    assert_eq!(result_of(&first), result_of(&second));
+    assert_eq!(
+        result_payload(&first).expect("result field"),
+        result_payload(&second).expect("result field")
+    );
 
     // Stats over the wire reflect one miss, one hit, one cached entry.
     let stats = client.request_line("{\"op\":\"stats\"}").expect("stats");
